@@ -192,7 +192,7 @@ let work_counters =
     "simplex.solves"; "simplex.warm_starts"; "milp.nodes";
     "milp.nodes_pruned"; "presolve.runs"; "presolve.vars_fixed";
     "cuts.separated"; "cuts.added"; "dijkstra.calls"; "maxflow.calls";
-    "maxflow.augmentations" ]
+    "maxflow.augmentations"; "gk.calls"; "gk.phases"; "gk.dual_exits" ]
 
 let print_work_footer () =
   let parts =

@@ -11,7 +11,22 @@
     [lambda >= 1] proves routability constructively.  Conversely the GK
     guarantee [lambda >= (1 - 3 eps) lambda*] makes
     [lambda < 1 - 3 eps] a proof of unroutability; ratios in between are
-    inconclusive. *)
+    inconclusive.  {!routable} adds a second, usually much earlier, proof
+    of unroutability: weak duality bounds [lambda*] by the dual ratio
+    [D(l) / alpha(l)] of the current edge lengths, checked at the end of
+    every phase (see DESIGN §19).
+
+    Each call evaluates the [vertex_ok] / [edge_ok] / [cap] closures once
+    per edge; the phase loop reads arrays.  Work is counted on the
+    [gk.calls] (calls that run phases), [gk.phases] and [gk.dual_exits]
+    counters.
+
+    Every entry point raises [Invalid_argument] when [eps] is not in
+    [(0, 1/3)], or when the initial edge length
+    [delta = (m / (1 - eps))^(-1/eps)] ([m] the live edge count, plus
+    the demand count for {!max_sum}) is not a positive normal float —
+    small [eps] on large graphs underflows it to 0, with which the phase
+    loop would never end. *)
 
 type result = {
   lambda : float;
@@ -33,7 +48,25 @@ val max_concurrent :
 (** Approximate the maximum concurrent flow.  [eps] (default 0.1) trades
     accuracy for running time (cost grows as [1/eps^2]).  Demands with
     amount 0 are ignored; a demand disconnected from its endpoint makes
-    [lambda = 0]. *)
+    [lambda = 0].  Always runs every phase: the reference for
+    {!routable}. *)
+
+val routable :
+  ?vertex_ok:(Graph.vertex -> bool) ->
+  ?edge_ok:(Graph.edge_id -> bool) ->
+  ?eps:float ->
+  cap:(Graph.edge_id -> float) ->
+  Graph.t ->
+  Commodity.t list ->
+  [ `Routable of Routing.t | `Unroutable | `Unknown ]
+(** Routability verdict from the {!max_concurrent} phase loop.
+    [`Routable r] when the certified [lambda >= 1] (within
+    [Num.feas_eps]), with [r] exactly {!max_concurrent}'s routing;
+    [`Unroutable] as soon as the dual bound at a phase end falls below
+    [1 - Num.feas_eps], or at the end when [lambda < 1 - 3 eps];
+    [`Unknown] for ratios in between.  The early exit fires only when
+    [lambda* < 1] is proved, so it never turns a verdict the full run
+    would have made [`Routable]. *)
 
 val max_sum :
   ?vertex_ok:(Graph.vertex -> bool) ->

@@ -1,4 +1,5 @@
 module Num = Netrec_util.Num
+module Obs = Netrec_obs.Obs
 
 type verdict =
   | Routable of Routing.t
@@ -33,23 +34,28 @@ let routable ?budget ?(vertex_ok = all) ?(edge_ok = all) ?lp_var_budget
     let edge_ok e = edge_ok e && Num.positive ~eps:Num.cap_eps (cap e) in
     if not (connectivity_ok ~vertex_ok ~edge_ok g demands) then Unroutable
     else
-      match Route_greedy.route_all ~vertex_ok ~edge_ok ~cap g demands with
+      match
+        Obs.span "oracle.greedy" (fun () ->
+            Route_greedy.route_all ~vertex_ok ~edge_ok ~cap g demands)
+      with
       | Some routing -> Routable routing
       | None -> (
         match
-          Mcf_lp.feasible ?budget ~vertex_ok ~edge_ok
-            ?var_budget:lp_var_budget ~cap g demands
+          Obs.span "oracle.lp" (fun () ->
+              Mcf_lp.feasible ?budget ~vertex_ok ~edge_ok
+                ?var_budget:lp_var_budget ~cap g demands)
         with
         | Mcf_lp.Routable routing -> Routable routing
         | Mcf_lp.Unroutable -> Unroutable
         | Mcf_lp.Undecided -> Unknown
-        | Mcf_lp.Too_big ->
-          let { Gk.lambda; routing } =
-            Gk.max_concurrent ~vertex_ok ~edge_ok ~eps:gk_eps ~cap g demands
-          in
-          if Num.geq ~eps:Num.feas_eps lambda 1.0 then Routable routing
-          else if lambda < 1.0 -. (3.0 *. gk_eps) then Unroutable
-          else Unknown)
+        | Mcf_lp.Too_big -> (
+          match
+            Obs.span "oracle.gk" (fun () ->
+                Gk.routable ~vertex_ok ~edge_ok ~eps:gk_eps ~cap g demands)
+          with
+          | `Routable routing -> Routable routing
+          | `Unroutable -> Unroutable
+          | `Unknown -> Unknown))
   end
 
 let max_satisfiable ?budget ?(vertex_ok = all) ?(edge_ok = all) ?lp_var_budget

@@ -313,6 +313,105 @@ let gk_feasibility_certificate_prop =
         Routing.satisfies g ~cap:(cap_of g) routing
       end)
 
+(* Run [f] with the collector on and return its result together with
+   the requested counters. *)
+let with_counters names f =
+  let module Obs = Netrec_obs.Obs in
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      let r = f () in
+      (r, List.map Obs.counter_value names))
+
+(* lambda* = 0.2 on the overloaded cycle: the dual bound proves
+   unroutability within a few phases, long before the full run ends. *)
+let test_gk_dual_exit_on_overload () =
+  let g = cycle () in
+  let d = [ Commodity.make ~src:0 ~dst:2 ~amount:10.0 ] in
+  let names = [ "gk.calls"; "gk.phases"; "gk.dual_exits" ] in
+  let verdict, early =
+    with_counters names (fun () -> Gk.routable ~eps:0.05 ~cap:(cap_of g) g d)
+  in
+  let full, reference =
+    with_counters names (fun () ->
+        Gk.max_concurrent ~eps:0.05 ~cap:(cap_of g) g d)
+  in
+  Alcotest.(check bool) "unroutable" true (verdict = `Unroutable);
+  Alcotest.(check bool) "full run agrees" true (full.Gk.lambda < 1.0);
+  match (early, reference) with
+  | [ 1; phases; 1 ], [ 1; full_phases; 0 ] ->
+    if phases * 5 > full_phases then
+      Alcotest.failf "dual exit after %d of %d phases" phases full_phases
+  | _ ->
+    Alcotest.failf "counters: early [%s], full [%s]"
+      (String.concat "; " (List.map string_of_int early))
+      (String.concat "; " (List.map string_of_int reference))
+
+(* A 5000-edge ring at eps = 0.01 sizes delta = (5000/0.99)^-100, which
+   underflows to 0: every length would stay 0 and the phase loop would
+   never end.  The call must raise instead. *)
+let test_gk_rejects_delta_underflow () =
+  let ring n =
+    Graph.make ~n ~edges:(List.init n (fun i -> (i, (i + 1) mod n, 1.0))) ()
+  in
+  let d n = [ Commodity.make ~src:0 ~dst:(n / 2) ~amount:1.0 ] in
+  let g = ring 5000 in
+  let underflow =
+    Invalid_argument "Gk: initial length delta underflows; raise eps"
+  in
+  Alcotest.check_raises "max_concurrent" underflow (fun () ->
+      ignore (Gk.max_concurrent ~eps:0.01 ~cap:(cap_of g) g (d 5000)));
+  Alcotest.check_raises "routable" underflow (fun () ->
+      ignore (Gk.routable ~eps:0.01 ~cap:(cap_of g) g (d 5000)));
+  Alcotest.check_raises "max_sum" underflow (fun () ->
+      ignore (Gk.max_sum ~eps:0.01 ~cap:(cap_of g) g (d 5000)));
+  let small = ring 200 in
+  let { Gk.lambda; _ } =
+    Gk.max_concurrent ~eps:0.05 ~cap:(cap_of small) small (d 200)
+  in
+  Alcotest.(check bool) "200-edge ring: lambda near 2" true
+    (lambda >= 1.8 && lambda <= 2.0 +. 1e-9)
+
+let test_gk_rejects_bad_eps () =
+  let g = cycle () in
+  let d = [ Commodity.make ~src:0 ~dst:2 ~amount:1.0 ] in
+  let bad = Invalid_argument "Gk: eps must lie in (0, 1/3)" in
+  List.iter
+    (fun eps ->
+      Alcotest.check_raises (Printf.sprintf "eps %g" eps) bad (fun () ->
+          ignore (Gk.max_concurrent ~eps ~cap:(cap_of g) g d)))
+    [ 0.0; -0.1; 1.0 /. 3.0; 0.5; Float.nan ]
+
+(* Tight-capacity Erdos-Renyi instances with three demands: about half
+   routable, half not, so both GK verdicts and the gray zone occur. *)
+let tight_instance seed =
+  let rng = Rng.create (seed + 500) in
+  let g = Netrec_graph.Generate.erdos_renyi ~rng ~n:10 ~p:0.35 ~capacity:1.0 in
+  let n = Graph.nv g in
+  let d =
+    List.init 3 (fun i ->
+        Commodity.make ~src:i ~dst:(n - 1 - i)
+          ~amount:(0.5 +. Rng.float rng 1.5))
+  in
+  (g, d)
+
+(* The verdict is the reference run's: the same routing when routable,
+   and a reference lambda below 1 whenever it says unroutable (early
+   dual exit included). *)
+let gk_routable_matches_reference_prop =
+  QCheck.Test.make ~name:"gk verdict agrees with the full max_concurrent run"
+    ~count:100 QCheck.small_int (fun seed ->
+      let g, d = tight_instance seed in
+      let { Gk.lambda; routing } = Gk.max_concurrent ~cap:(cap_of g) g d in
+      match Gk.routable ~cap:(cap_of g) g d with
+      | `Routable r ->
+        Netrec_util.Num.(geq ~eps:feas_eps lambda 1.0) && r = routing
+      | `Unroutable | `Unknown -> lambda < 1.0)
+
 (* ---- Oracle ---- *)
 
 let test_oracle_empty_demands () =
@@ -454,6 +553,20 @@ let oracle_matches_lp_prop =
       | Oracle.Unknown, _ -> true (* inconclusive is allowed *)
       | _ -> false)
 
+(* The GK leg forced by an LP budget of 0: whatever the oracle decides
+   must agree with the exact LP. *)
+let oracle_gk_leg_matches_lp_prop =
+  QCheck.Test.make ~name:"oracle GK-leg verdict consistent with exact LP"
+    ~count:100 QCheck.small_int (fun seed ->
+      let g, d = tight_instance seed in
+      let oracle = Oracle.routable ~lp_var_budget:0 ~cap:(cap_of g) g d in
+      match (oracle, Mcf_lp.feasible ~cap:(cap_of g) g d) with
+      | Oracle.Routable r, Mcf_lp.Routable _ ->
+        Routing.satisfies g ~cap:(cap_of g) r
+      | Oracle.Unroutable, Mcf_lp.Unroutable -> true
+      | Oracle.Unknown, _ -> true
+      | _ -> false)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "netrec_flow"
@@ -493,11 +606,16 @@ let () =
           tc "max_sum near optimal" test_gk_max_sum_near_optimal_single;
           tc "max_sum caps demand" test_gk_max_sum_caps_demand;
           tc "max_sum empty" test_gk_max_sum_empty;
-          QCheck_alcotest.to_alcotest gk_feasibility_certificate_prop ] );
+          tc "dual exit on overload" test_gk_dual_exit_on_overload;
+          tc "rejects delta underflow" test_gk_rejects_delta_underflow;
+          tc "rejects bad eps" test_gk_rejects_bad_eps;
+          QCheck_alcotest.to_alcotest gk_feasibility_certificate_prop;
+          QCheck_alcotest.to_alcotest gk_routable_matches_reference_prop ] );
       ( "oracle",
         [ tc "empty demands" test_oracle_empty_demands;
           tc "connectivity shortcut" test_oracle_connectivity_shortcut;
           tc "escalates to lp" test_oracle_escalates_to_lp;
           tc "zero capacity" test_oracle_zero_capacity_edges;
           tc "max satisfiable" test_oracle_max_satisfiable;
-          QCheck_alcotest.to_alcotest oracle_matches_lp_prop ] ) ]
+          QCheck_alcotest.to_alcotest oracle_matches_lp_prop;
+          QCheck_alcotest.to_alcotest oracle_gk_leg_matches_lp_prop ] ) ]

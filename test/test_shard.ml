@@ -66,6 +66,43 @@ let test_delegation_matches_isp () =
     (Instance.repair_cost inst sol);
   Alcotest.(check bool) "certified" true (Check.ok stats.Shard.certificate)
 
+(* ---- work-counter regression: the GK oracle on CAIDA ----
+
+   CAIDA-825 Gaussian draw 6 (variance 0.02, 4 pairs of 22) overflows the
+   exact LP, so ISP's routability test falls through to Garg-Koenemann,
+   whose run has to prove lambda* < 1 again and again.  With the dual
+   exit it makes about 7,400 Dijkstra calls; running every phase took
+   145,614.  Counters, unlike milliseconds, gate the same on any host. *)
+let test_caida_gk_dijkstra_budget () =
+  let module Obs = Netrec_obs.Obs in
+  let g = Netrec_topo.Caida.graph () in
+  let rng = Rng.create 6 in
+  let demands =
+    Netrec_experiments.Common.feasible_demands ~rng ~distinct:true ~count:4
+      ~amount:22.0 g
+  in
+  let failure = Models.gaussian ~rng ~variance:0.02 g in
+  let inst = Instance.make ~graph:g ~demands ~failure () in
+  Obs.reset ();
+  Obs.set_enabled true;
+  let (sol, stats), calls, dual_exits =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.set_enabled false;
+        Obs.reset ())
+      (fun () ->
+        let r = Shard.solve inst in
+        ( r,
+          Obs.counter_value "dijkstra.calls",
+          Obs.counter_value "gk.dual_exits" ))
+  in
+  Alcotest.(check bool) "certified" true (Check.ok stats.Shard.certificate);
+  Alcotest.(check bool) "recertified" true (Check.ok (Check.certify inst sol));
+  Alcotest.(check bool) "GK proved unroutability by the dual bound" true
+    (dual_exits > 0);
+  if calls > 10_000 then
+    Alcotest.failf "%d dijkstra calls, budget 10000" calls
+
 (* ---- cached centrality vs fresh compute (the staleness contract) ----
 
    The fixup pass drives Centrality.Cache exactly as ISP's loop does:
@@ -120,4 +157,5 @@ let () =
         [ tc "smoke scenario certified" test_sharded_certified;
           tc "-j1 = -j4" test_pool_determinism;
           tc "delegation matches isp" test_delegation_matches_isp;
+          tc "caida gk dijkstra budget" test_caida_gk_dijkstra_budget;
           QCheck_alcotest.to_alcotest prop_cache_matches_fresh ] ) ]
