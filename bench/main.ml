@@ -27,13 +27,6 @@ let bell_canada_instance () =
   let demands = E.Common.feasible_demands ~rng ~count:4 ~amount:10.0 g in
   Instance.make ~graph:g ~demands ~failure:(Failure.complete g) ()
 
-let gaussian_instance () =
-  let g = Netrec_topo.Bell_canada.graph () in
-  let rng = Rng.create 2 in
-  let demands = E.Common.feasible_demands ~rng ~count:4 ~amount:10.0 g in
-  let failure = Netrec_disrupt.Models.gaussian ~rng ~variance:70.0 g in
-  Instance.make ~graph:g ~demands ~failure ()
-
 let er_instance () =
   let rng = Rng.create 3 in
   let g =
@@ -55,7 +48,7 @@ let caida_instance () =
 let micro_benchmarks () =
   let open Bechamel in
   let bc = bell_canada_instance () in
-  let gauss = gaussian_instance () in
+  let gauss = E.Fig_opt.smoke_scenario () in
   let er_g, er = er_instance () in
   let caida = caida_instance () in
   let xl_smoke = E.Fig9_xl.smoke_scenario () in
@@ -325,11 +318,12 @@ let run_all s =
   Printf.printf "wrote results/progress.jsonl\n%!"
 
 (* Deterministic LP work gate: exact counter deltas for one full OPT
-   solve of the gaussian Bell Canada scenario.  Unlike the wall-clock
-   micro-benchmarks these integers are machine-independent, so CI can
-   hold the line on simplex/branch-and-bound work regressions exactly. *)
+   solve of the pinned Bell Canada Gaussian scenario.  Unlike the
+   wall-clock micro-benchmarks these integers are machine-independent;
+   the "opt gate" tests of test_heuristics hold the pivot and node
+   ceilings on the same solve. *)
 let lp_gate_metrics () =
-  let inst = gaussian_instance () in
+  let inst = E.Fig_opt.smoke_scenario () in
   let was = Obs.enabled () in
   Obs.set_enabled true;
   let keys =
@@ -377,8 +371,8 @@ let xl_gate_metrics () =
 (* Deterministic scheduling gate: greedy, greedy + local search and the
    MILP oracle on the pinned two-corridor smoke scenario.  AUC and
    regret enter as microunits so the block stays integer-valued like
-   the other gates; scripts/check_sched.sh asserts that the oracle
-   proves optimality, the refined plan stays within 5% regret
+   the other gates; test_sched asserts on the same scenario that the
+   oracle proves optimality, the refined plan stays within 5% regret
    (sched.regret_microunits <= 50_000) and every round certifies. *)
 let sched_gate_metrics () =
   let module Sched = Netrec_sched.Sched in
@@ -456,129 +450,6 @@ let write_bench_metrics ~mode ~benchmarks =
   close_out oc;
   Printf.printf "wrote BENCH_metrics.json\n%!"
 
-(* The xl smoke run behind scripts/check_xl.sh: solve the pinned 5k
-   scale-free Gaussian scenario on the sharded solver with a -jN pool
-   and print only deterministic facts (no wall clock), so the script
-   can diff -j1 against -j4 byte-for-byte and grep the certificate. *)
-let xl_smoke ~jobs =
-  let inst = E.Fig9_xl.smoke_scenario () in
-  let pool = E.Common.Pool.create ~jobs in
-  let sol, st = Netrec_shard.Shard.solve ~pool inst in
-  let module Shard = Netrec_shard.Shard in
-  let ids l = String.concat "," (List.map string_of_int (List.sort compare l)) in
-  Printf.printf "xl-smoke: n=%d ne=%d demands=%d\n"
-    (G.nv inst.Instance.graph) (G.ne inst.Instance.graph)
-    (List.length inst.Instance.demands);
-  Printf.printf
-    "region=%d shards=%d cut=%d fixup=%d delegated=%b\n"
-    st.Shard.region_vertices st.Shard.shards st.Shard.cut_demands
-    st.Shard.fixup_paths st.Shard.delegated;
-  Printf.printf "repaired_vertices=[%s]\nrepaired_edges=[%s]\n"
-    (ids sol.Instance.repaired_vertices)
-    (ids sol.Instance.repaired_edges);
-  Printf.printf "repair_cost=%.6f\n" (Instance.repair_cost inst sol);
-  Printf.printf "satisfied=%.6f\n"
-    (Netrec_core.Evaluate.satisfied_fraction inst sol);
-  Printf.printf "violations=%d\ncertified=%b\n"
-    (List.length st.Shard.certificate.Netrec_check.Check.violations)
-    (Netrec_check.Check.ok st.Shard.certificate)
-
-(* The sched smoke run behind scripts/check_sched.sh: schedule the
-   pinned two-corridor scenario with greedy + local search on a -jN
-   pool, prove the optimum with the MILP oracle, and print only
-   deterministic facts (no wall clock), so the script can diff -j1
-   against -j4 byte-for-byte and grep the gate facts. *)
-let sched_smoke ~jobs =
-  let module Sched = Netrec_sched.Sched in
-  let inst = E.Fig_sched.smoke_scenario () in
-  let cap = Sched.capacity ~crews:E.Fig_sched.smoke_crews () in
-  let pool = E.Common.Pool.create ~jobs in
-  let el_str = function
-    | `Vertex v -> Printf.sprintf "v%d" v
-    | `Edge e -> Printf.sprintf "e%d" e
-  in
-  let round_str r =
-    Printf.sprintf "[%s] cost=%.1f satisfied=%.6f"
-      (String.concat "," (List.map el_str r.Sched.elements))
-      r.Sched.cost r.Sched.satisfied
-  in
-  let greedy = Sched.greedy ~cap inst (Instance.repair_all inst) in
-  let refined, stats =
-    Sched.local_search ~pool ~cap inst (Sched.order_of greedy)
-  in
-  let oracle =
-    match Sched.oracle ~cap inst (E.Fig_sched.smoke_elements ()) with
-    | Ok r -> r
-    | Error _ -> failwith "sched-smoke: oracle refused the smoke scenario"
-  in
-  Printf.printf "sched-smoke: n=%d ne=%d elements=%d crews=%d\n"
-    (G.nv inst.Instance.graph) (G.ne inst.Instance.graph)
-    (List.length (E.Fig_sched.smoke_elements ()))
-    E.Fig_sched.smoke_crews;
-  List.iteri
-    (fun i r -> Printf.printf "round %d: %s\n" (i + 1) (round_str r))
-    refined.Sched.rounds;
-  Printf.printf "greedy_auc=%.6f\nls_auc=%.6f\noracle_auc=%.6f\n"
-    greedy.Sched.auc refined.Sched.auc oracle.Sched.plan.Sched.auc;
-  Printf.printf "ls_passes=%d ls_moves_applied=%d\n" stats.Sched.passes
-    stats.Sched.moves_applied;
-  Printf.printf "oracle_proved=%b\nregret=%.6f\ncertified=%b\n"
-    oracle.Sched.proved
-    (Sched.regret ~oracle:oracle.Sched.plan refined)
-    (List.for_all Netrec_check.Check.ok (Sched.certify_rounds inst refined))
-
-(* The opt smoke run behind scripts/check_opt.sh: one full OPT solve of
-   the pinned lp_gate scenario with the exact-solver accelerations on
-   (presolve + cuts + dual steepest edge), then one solve per
-   acceleration individually disabled, printing only deterministic facts
-   (no wall clock).  The script asserts the pivot/node ceilings, that
-   every variant proves optimality, and that the proved objective is
-   bit-identical across variants — the differential safety net for the
-   model-side performance layer.  The midsize row is a harder Gaussian
-   scenario under a node budget that only the accelerated solver closes:
-   base (no presolve, no cuts, Dantzig) must leave it unproved. *)
-let opt_smoke () =
-  let module Opt = Netrec_heuristics.Opt in
-  let counters =
-    [ "simplex.pivots"; "milp.nodes"; "cuts.added"; "cuts.root_solves";
-      "presolve.runs"; "simplex.dse_pivots"; "mcf.feasible_solves";
-      "mcf.feasible_pivots"; "mcf.max_scale_solves"; "mcf.max_scale_pivots" ]
-  in
-  let deltas f =
-    let before = List.map (fun k -> (k, Obs.counter_value k)) counters in
-    let r = f () in
-    (r, List.map (fun (k, v) -> (k, Obs.counter_value k - v)) before)
-  in
-  let row name ?presolve ?cuts ?pricing ?node_limit inst =
-    let r, ds =
-      deltas (fun () -> Opt.solve ?presolve ?cuts ?pricing ?node_limit inst)
-    in
-    Printf.printf "%s: proved=%b objective=%.6f nodes=%d %s\n" name
-      r.Opt.proved r.Opt.objective r.Opt.nodes
-      (String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) ds));
-    r
-  in
-  Printf.printf "opt-smoke: pinned bell-canada gaussian (seed 2, variance 70)\n";
-  ignore (row "pinned" (gaussian_instance ()));
-  ignore (row "nopresolve" ~presolve:false (gaussian_instance ()));
-  ignore (row "nocuts" ~cuts:false (gaussian_instance ()));
-  ignore
-    (row "dantzig" ~pricing:Netrec_lp.Tuning.Dantzig (gaussian_instance ()));
-  let midsize () =
-    let g = Netrec_topo.Bell_canada.graph () in
-    let rng = Rng.create 5 in
-    let demands = E.Common.feasible_demands ~rng ~count:5 ~amount:10.0 g in
-    let failure = Netrec_disrupt.Models.gaussian ~rng ~variance:120.0 g in
-    Instance.make ~graph:g ~demands ~failure ()
-  in
-  let base =
-    row "midsize-base" ~presolve:false ~cuts:false
-      ~pricing:Netrec_lp.Tuning.Dantzig ~node_limit:600 (midsize ())
-  in
-  let full = row "midsize-full" ~node_limit:600 (midsize ()) in
-  Printf.printf "midsize: base_proved=%b full_proved=%b\n"
-    base.Netrec_heuristics.Opt.proved full.Netrec_heuristics.Opt.proved
-
 (* [-jN] anywhere on the command line sets the pool size for figure
    regeneration (default 2; results are identical for any N). *)
 let parse_jobs args =
@@ -622,15 +493,6 @@ let () =
   | [ "bench" ] ->
     let benchmarks = micro_benchmarks () in
     write_bench_metrics ~mode:"bench" ~benchmarks
-  | [ "xl-smoke" ] ->
-    Obs.set_enabled true;
-    xl_smoke ~jobs:(Option.value ~default:1 jobs)
-  | [ "sched-smoke" ] ->
-    Obs.set_enabled true;
-    sched_smoke ~jobs:(Option.value ~default:1 jobs)
-  | [ "opt-smoke" ] ->
-    Obs.set_enabled true;
-    opt_smoke ()
   | [ "figures" ] ->
     Obs.set_enabled true;
     run_all (with_jobs default);

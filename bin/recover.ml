@@ -406,14 +406,15 @@ let plan topology er_p seed pairs amount algorithm disruption variance fail_p
     | Some path -> Netrec_core.Serialize.save path inst
     | None -> ());
     let bv, be = Failure.counts failure in
-    Printf.printf "topology %s: %s\n" topology
-      (Netrec_graph.Metrics.summary g);
-    let disruption_label =
-      if load_file <> None then "(loaded)" else disruption
+    let topology_label, disruption_label =
+      match load_file with
+      | Some path -> (path, "(loaded)")
+      | None -> (topology, disruption)
     in
+    Printf.printf "topology %s: %s\n" topology_label
+      (Netrec_graph.Metrics.summary g);
     Printf.printf "disruption %s: %d nodes + %d edges broken\n"
-      disruption_label bv
-      be;
+      disruption_label bv be;
     List.iter
       (fun d ->
         Printf.printf "demand: %s -> %s (%g units)\n"

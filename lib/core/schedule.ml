@@ -276,23 +276,3 @@ let in_order inst order =
   match in_order_result inst order with
   | Ok t -> t
   | Error e -> invalid_arg ("Schedule.in_order: " ^ order_error_to_string e)
-
-type stage = { elements : element list; satisfied : float }
-
-let staged ~per_stage inst solution =
-  if per_stage < 1 then invalid_arg "Schedule.staged: per_stage < 1";
-  let ordered = (greedy inst solution).steps in
-  let rec chunk acc current n = function
-    | [] -> List.rev (if current = [] then acc else List.rev current :: acc)
-    | step :: rest ->
-      let current = step :: current in
-      if n + 1 = per_stage then chunk (List.rev current :: acc) [] 0 rest
-      else chunk acc current (n + 1) rest
-  in
-  let groups = chunk [] [] 0 ordered in
-  List.map
-    (fun steps ->
-      let last = List.nth steps (List.length steps - 1) in
-      { elements = List.map (fun s -> s.element) steps;
-        satisfied = last.satisfied_after })
-    groups

@@ -80,17 +80,3 @@ val in_order : Instance.t -> element list -> t
 
 val in_order_result : Instance.t -> element list -> (t, order_error) result
 (** {!in_order} with the structured error instead of an exception. *)
-
-type stage = {
-  elements : element list;
-      (** repairs executed in this stage (at most the per-stage budget) *)
-  satisfied : float;  (** fraction served once the stage completes *)
-}
-
-val staged : per_stage:int -> Instance.t -> Instance.solution -> stage list
-(** Multi-stage recovery under a per-stage repair budget — the setting of
-    Wang, Qiao & Yu (the paper's reference [32]), where crews complete a
-    fixed number of repairs per day.  Repairs are taken in {!greedy}
-    order and chunked into stages of [per_stage] elements; each stage
-    reports the demand servable once it completes.
-    @raise Invalid_argument when [per_stage < 1]. *)

@@ -18,6 +18,21 @@ let instance ~rng ~variance g =
   let failure = Models.gaussian ~rng ~variance g in
   Instance.make ~graph:g ~demands ~failure ()
 
+(* The pinned scenarios of the exact-solver gate (the "opt gate" tests
+   and the BENCH_metrics.json lp_gate block).  The smoke scenario is
+   small enough that every acceleration setting proves it; the mid-size
+   one is where only the full pipeline proves inside 600 nodes. *)
+let smoke_scenario () =
+  let g = Netrec_topo.Bell_canada.graph () in
+  let rng = Rng.create 2 in
+  let demands = feasible_demands ~rng ~count:4 ~amount:10.0 g in
+  let failure = Models.gaussian ~rng ~variance:70.0 g in
+  Instance.make ~graph:g ~demands ~failure ()
+
+let midsize_scenario () =
+  let g = Netrec_topo.Bell_canada.graph () in
+  instance ~rng:(Rng.create 5) ~variance:120.0 g
+
 let field fields k = Option.value ~default:0.0 (List.assoc_opt k fields)
 
 let run ?journal ?pool ?(runs = 3) ?(opt_nodes = 600) ?(seed = 5) () =

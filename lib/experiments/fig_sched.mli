@@ -7,9 +7,9 @@
 
 val smoke_scenario : unit -> Netrec_core.Instance.t
 (** The pinned 5-vertex two-corridor scenario shared by the bench
-    harness's [sched-smoke]/[sched_gate] modes and
-    [scripts/check_sched.sh]: the oracle proves optimality in
-    milliseconds and optimal play restores full service in round one. *)
+    harness's [sched_gate] block and the scheduling gate tests: the
+    oracle proves optimality in milliseconds and optimal play restores
+    full service in round one. *)
 
 val smoke_elements : unit -> Netrec_sched.Sched.element list
 (** The smoke scenario's repair set in a deliberately back-loaded

@@ -6,19 +6,23 @@
 #
 # Checks that the file exists, parses as JSON, and contains the solver
 # work counters, quantile histograms and progress trajectory the run
-# report is expected to carry.
+# report is expected to carry.  The bench runs in a scratch directory,
+# so the committed BENCH_metrics.json and results/ are left alone.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 dune build bench/main.exe
+BENCH_EXE="$(pwd)/_build/default/bench/main.exe"
 
 if [ "$#" -eq 0 ]; then
   set -- quick
 fi
-./_build/default/bench/main.exe "$@"
+TMP=$(mktemp -d)
+trap 'rm -rf "$TMP"' EXIT INT TERM
+(cd "$TMP" && "$BENCH_EXE" "$@")
 
-METRICS=BENCH_metrics.json
+METRICS="$TMP/BENCH_metrics.json"
 if [ ! -s "$METRICS" ]; then
   echo "FAIL: $METRICS missing or empty" >&2
   exit 1

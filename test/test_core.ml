@@ -700,31 +700,6 @@ let test_schedule_greedy_beats_or_ties_arbitrary () =
   Alcotest.(check bool) "greedy >= arbitrary" true
     (greedy.Schedule.auc >= arbitrary.Schedule.auc -. 1e-9)
 
-let test_schedule_staged_chunks () =
-  let g = path_graph 4 in
-  let inst = make_inst g [ demand 0 3 ] (Failure.complete g) in
-  let sol, _ = Isp.solve inst in
-  let total = Instance.total_repairs sol in
-  let stages = Schedule.staged ~per_stage:3 inst sol in
-  let counted =
-    List.fold_left (fun acc s -> acc + List.length s.Schedule.elements) 0 stages
-  in
-  Alcotest.(check int) "all repairs staged" total counted;
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) "budget respected" true
-        (List.length s.Schedule.elements <= 3))
-    stages;
-  let last = List.nth stages (List.length stages - 1) in
-  Alcotest.(check (float 1e-6)) "fully restored at the end" 1.0
-    last.Schedule.satisfied
-
-let test_schedule_staged_rejects_zero () =
-  let g = path_graph 3 in
-  let inst = make_inst g [ demand 0 2 ] (Failure.complete g) in
-  Alcotest.check_raises "budget" (Invalid_argument "Schedule.staged: per_stage < 1")
-    (fun () -> ignore (Schedule.staged ~per_stage:0 inst Instance.empty_solution))
-
 let test_schedule_empty_solution () =
   (* An empty schedule's curve is flat at the unrepaired instance's
      satisfaction: on a fully broken instance that is 0, not a perfect
@@ -1189,8 +1164,6 @@ let () =
       ( "schedule",
         [ tc "orders all repairs" test_schedule_orders_all_repairs;
           tc "greedy beats arbitrary" test_schedule_greedy_beats_or_ties_arbitrary;
-          tc "staged chunks" test_schedule_staged_chunks;
-          tc "staged rejects zero" test_schedule_staged_rejects_zero;
           tc "empty solution" test_schedule_empty_solution;
           tc "malformed order table" test_schedule_malformed_table;
           tc "greedy rejects malformed solution"

@@ -502,6 +502,71 @@ let test_exact_forest_matches_milp () =
     end
   done
 
+(* ---- opt gate: the pinned exact-solver scenarios ----
+
+   Work counters are deltas around one solve with Obs enabled, so they
+   count that solve alone.  The pivot ceiling is a ratchet: half the
+   pre-acceleration count on the pinned scenario. *)
+
+module Obs = Netrec_obs.Obs
+module Fig_opt = Netrec_experiments.Fig_opt
+
+let gate_counters =
+  [ "simplex.pivots"; "milp.nodes"; "presolve.runs"; "cuts.added";
+    "simplex.dse_pivots" ]
+
+let pinned_opt =
+  lazy
+    (let was = Obs.enabled () in
+     Obs.set_enabled true;
+     Fun.protect
+       ~finally:(fun () -> Obs.set_enabled was)
+       (fun () ->
+         let before = List.map Obs.counter_value gate_counters in
+         let r = Opt.solve (Fig_opt.smoke_scenario ()) in
+         ( r,
+           List.map2
+             (fun k v -> (k, Obs.counter_value k - v))
+             gate_counters before )))
+
+let test_opt_gate_pinned () =
+  let r, work = Lazy.force pinned_opt in
+  let count k = List.assoc k work in
+  Alcotest.(check bool) "proved" true r.Opt.proved;
+  let pivots = count "simplex.pivots" and nodes = count "milp.nodes" in
+  if pivots > 8_310 then
+    Alcotest.failf "%d simplex pivots, ceiling 8310" pivots;
+  if nodes >= 71 then Alcotest.failf "%d milp nodes, ceiling < 71" nodes;
+  List.iter
+    (fun k ->
+      if count k <= 0 then Alcotest.failf "%s = 0: acceleration never ran" k)
+    [ "presolve.runs"; "cuts.added"; "simplex.dse_pivots" ]
+
+let test_opt_gate_variants_agree () =
+  let pinned, _ = Lazy.force pinned_opt in
+  List.iter
+    (fun (name, solve) ->
+      let r = solve (Fig_opt.smoke_scenario ()) in
+      Alcotest.(check bool) (name ^ " proved") true r.Opt.proved;
+      if not (Float.equal r.Opt.objective pinned.Opt.objective) then
+        Alcotest.failf "%s objective %h differs from the pinned %h" name
+          r.Opt.objective pinned.Opt.objective)
+    [ ("presolve off", fun inst -> Opt.solve ~presolve:false inst);
+      ("cuts off", fun inst -> Opt.solve ~cuts:false inst);
+      ( "dantzig",
+        fun inst -> Opt.solve ~pricing:Netrec_lp.Tuning.Dantzig inst ) ]
+
+let test_opt_gate_midsize_flips () =
+  let inst = Fig_opt.midsize_scenario () in
+  let base =
+    Opt.solve ~node_limit:600 ~presolve:false ~cuts:false
+      ~pricing:Netrec_lp.Tuning.Dantzig inst
+  in
+  Alcotest.(check bool) "base stops unproved at 600 nodes" false
+    base.Opt.proved;
+  let full = Opt.solve ~node_limit:600 inst in
+  Alcotest.(check bool) "full pipeline proves" true full.Opt.proved
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "netrec_heuristics"
@@ -556,4 +621,9 @@ let () =
           tc "shared endpoint merged" test_exact_forest_shared_endpoint_merged;
           tc "disconnected" test_exact_forest_disconnected;
           tc "clique trivial" test_exact_forest_clique_trivial;
-          tc "matches milp" test_exact_forest_matches_milp ] ) ]
+          tc "matches milp" test_exact_forest_matches_milp ] );
+      ( "opt gate",
+        [ tc "pinned proves within ceilings" test_opt_gate_pinned;
+          tc "accelerations off agree" test_opt_gate_variants_agree;
+          Alcotest.test_case "mid-size flips to proved" `Slow
+            test_opt_gate_midsize_flips ] ) ]

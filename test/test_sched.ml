@@ -6,11 +6,11 @@ module Failure = Netrec_disrupt.Failure
 module Commodity = Netrec_flow.Commodity
 module Instance = Netrec_core.Instance
 module Schedule = Netrec_core.Schedule
-module Isp = Netrec_core.Isp
 module Sched = Netrec_sched.Sched
 module Check = Netrec_check.Check
 module Budget = Netrec_resilience.Budget
 module Pool = Netrec_parallel.Pool
+module Fig_sched = Netrec_experiments.Fig_sched
 
 let path_graph ?(capacity = 10.0) n =
   Graph.make ~n ~edges:(List.init (n - 1) (fun i -> (i, i + 1, capacity))) ()
@@ -20,22 +20,12 @@ let demand ?(amount = 5.0) src dst = Commodity.make ~src ~dst ~amount
 let make_inst ?vertex_cost ?edge_cost g demands failure =
   Instance.make ?vertex_cost ?edge_cost ~graph:g ~demands ~failure ()
 
-(* The pinned gate fixture: two parallel corridors 0-1-2 and 0-3-4-2
-   between the demand endpoints, everything broken except the endpoint
-   vertices.  Small enough that the oracle proves optimality in
-   milliseconds, rich enough that order matters (restoring the short
-   corridor first wins). *)
-let gate_instance () =
-  let g =
-    Graph.make ~n:5
-      ~edges:
-        [ (0, 1, 10.0); (1, 2, 10.0); (0, 3, 10.0); (3, 4, 10.0); (4, 2, 10.0) ]
-      ()
-  in
-  make_inst g
-    [ demand ~amount:8.0 0 2 ]
-    (Failure.of_lists g ~vertices:[ 1; 3; 4 ] ~edges:[ 0; 1; 2; 3; 4 ])
-
+(* The pinned gate fixture is Fig_sched.smoke_scenario: two parallel
+   corridors 0-1-2 and 0-3-4-2 between the demand endpoints, everything
+   broken except the endpoint vertices, scheduled by
+   Fig_sched.smoke_crews (3) crews.  Small enough that the oracle proves
+   optimality in milliseconds, rich enough that order matters (restoring
+   the short corridor first wins). *)
 let gate_elements () =
   [ `Vertex 1; `Vertex 3; `Vertex 4; `Edge 0; `Edge 1; `Edge 2; `Edge 3;
     `Edge 4 ]
@@ -54,14 +44,14 @@ let test_capacity_rejects_bad () =
       ignore (Sched.capacity ~round_budget:0.0 ~crews:1 ()))
 
 let test_rounds_respect_crews () =
-  let inst = gate_instance () in
-  let cap = Sched.capacity ~crews:3 () in
+  let inst = Fig_sched.smoke_scenario () in
+  let cap = Sched.capacity ~crews:Fig_sched.smoke_crews () in
   let plan = ok_plan (Sched.of_order ~cap inst (gate_elements ())) in
   Alcotest.(check int) "ceil(8/3) rounds" 3 (List.length plan.Sched.rounds);
   List.iter
     (fun r ->
       Alcotest.(check bool) "crew cap" true
-        (List.length r.Sched.elements <= 3))
+        (List.length r.Sched.elements <= Fig_sched.smoke_crews))
     plan.Sched.rounds
 
 let test_rounds_respect_budget () =
@@ -87,9 +77,9 @@ let test_rounds_respect_budget () =
     plan.Sched.rounds
 
 let test_round_concat_equals_flat_order () =
-  let inst = gate_instance () in
+  let inst = Fig_sched.smoke_scenario () in
   let order = gate_elements () in
-  let cap = Sched.capacity ~crews:3 () in
+  let cap = Sched.capacity ~crews:Fig_sched.smoke_crews () in
   let plan = ok_plan (Sched.of_order ~cap inst order) in
   Alcotest.(check bool) "concat = flat" true (Sched.order_of plan = order)
 
@@ -103,40 +93,18 @@ let test_empty_plan_reports_baseline () =
   Alcotest.(check (float 1e-9)) "baseline 0" 0.0 plan.Sched.baseline
 
 let test_of_order_rejects_malformed () =
-  let inst = gate_instance () in
+  let inst = Fig_sched.smoke_scenario () in
   match Sched.of_order inst [ `Vertex 99 ] with
   | Ok _ -> Alcotest.fail "accepted out-of-range vertex"
   | Error e ->
     Alcotest.(check bool) "structured error" true
       (e = Schedule.Out_of_range (`Vertex 99))
 
-(* ---- greedy / staged consistency ---- *)
-
-let test_greedy_plan_matches_staged () =
-  (* Sched.greedy with pure crews capacity is Schedule.staged on the
-     same greedy order: element chunks and per-round satisfactions
-     agree. *)
-  let g = path_graph 4 in
-  let inst = make_inst g [ demand 0 3 ] (Failure.complete g) in
-  let sol, _ = Isp.solve inst in
-  let cap = Sched.capacity ~crews:3 () in
-  let plan = Sched.greedy ~cap inst sol in
-  let stages = Schedule.staged ~per_stage:3 inst sol in
-  Alcotest.(check int) "same round count" (List.length stages)
-    (List.length plan.Sched.rounds);
-  List.iter2
-    (fun stage r ->
-      Alcotest.(check bool) "same elements" true
-        (stage.Schedule.elements = r.Sched.elements);
-      Alcotest.(check (float 1e-9)) "same satisfaction"
-        stage.Schedule.satisfied r.Sched.satisfied)
-    stages plan.Sched.rounds
-
 (* ---- oracle ---- *)
 
 let test_oracle_proves_gate_instance () =
-  let inst = gate_instance () in
-  let cap = Sched.capacity ~crews:3 () in
+  let inst = Fig_sched.smoke_scenario () in
+  let cap = Sched.capacity ~crews:Fig_sched.smoke_crews () in
   match Sched.oracle ~cap inst (gate_elements ()) with
   | Error _ -> Alcotest.fail "oracle refused the gate instance"
   | Ok r ->
@@ -162,8 +130,8 @@ let test_oracle_proves_gate_instance () =
       (Sched.regret ~oracle:r.Sched.plan refined <= 0.05)
 
 let test_oracle_milp_auc_consistent () =
-  let inst = gate_instance () in
-  let cap = Sched.capacity ~crews:3 () in
+  let inst = Fig_sched.smoke_scenario () in
+  let cap = Sched.capacity ~crews:Fig_sched.smoke_crews () in
   match Sched.oracle ~cap inst (gate_elements ()) with
   | Error _ -> Alcotest.fail "oracle refused"
   | Ok r ->
@@ -171,16 +139,16 @@ let test_oracle_milp_auc_consistent () =
       r.Sched.plan.Sched.auc r.Sched.milp_auc
 
 let test_oracle_too_big_refused () =
-  let inst = gate_instance () in
-  let cap = Sched.capacity ~crews:3 () in
+  let inst = Fig_sched.smoke_scenario () in
+  let cap = Sched.capacity ~crews:Fig_sched.smoke_crews () in
   match Sched.oracle ~var_cap:10 ~cap inst (gate_elements ()) with
   | Error (Sched.Too_big { vars; cap = c }) ->
     Alcotest.(check bool) "reports sizes" true (vars > c)
   | Ok _ | Error _ -> Alcotest.fail "oversized model not refused"
 
 let test_oracle_malformed () =
-  let inst = gate_instance () in
-  let cap = Sched.capacity ~crews:3 () in
+  let inst = Fig_sched.smoke_scenario () in
+  let cap = Sched.capacity ~crews:Fig_sched.smoke_crews () in
   match Sched.oracle ~cap inst [ `Edge (-1) ] with
   | Error (Sched.Malformed (Schedule.Out_of_range (`Edge (-1)))) -> ()
   | _ -> Alcotest.fail "malformed input not rejected"
@@ -196,8 +164,8 @@ let test_local_search_improves_one_move_order () =
   (* Round one holds the short corridor minus [edge 1] (swapped out for
      [vertex 3]): a single swap repairs the curve, and local search must
      find it and reach the proved optimum. *)
-  let inst = gate_instance () in
-  let cap = Sched.capacity ~crews:3 () in
+  let inst = Fig_sched.smoke_scenario () in
+  let cap = Sched.capacity ~crews:Fig_sched.smoke_crews () in
   let start_order =
     [ `Edge 0; `Vertex 1; `Vertex 3; `Edge 1; `Vertex 4; `Edge 2; `Edge 3;
       `Edge 4 ]
@@ -219,28 +187,32 @@ let test_local_search_never_degrades () =
   (* The back-loaded worst order is a single-move plateau (no one swap
      can fill round one with the whole short corridor): the search may
      not improve it, but must never return anything worse. *)
-  let inst = gate_instance () in
-  let cap = Sched.capacity ~crews:3 () in
+  let inst = Fig_sched.smoke_scenario () in
+  let cap = Sched.capacity ~crews:Fig_sched.smoke_crews () in
   let start = ok_plan (Sched.of_order ~cap inst (worst_first_order ())) in
   let plan, _ = Sched.local_search ~cap inst (worst_first_order ()) in
   Alcotest.(check bool) "never degrades" true
     (plan.Sched.auc >= start.Sched.auc -. 1e-9)
 
 let test_local_search_deterministic_across_jobs () =
-  let inst = gate_instance () in
-  let cap = Sched.capacity ~crews:3 () in
-  let run pool =
-    let plan, _ = Sched.local_search ?pool ~cap inst (worst_first_order ()) in
-    (Sched.order_of plan, plan.Sched.auc)
-  in
-  let o1, a1 = run None in
-  let o4, a4 = run (Some (Pool.create ~jobs:4)) in
-  Alcotest.(check bool) "same order" true (o1 = o4);
-  Alcotest.(check (float 0.0)) "same auc" a1 a4
+  (* From the back-loaded order and from the greedy order (the pipeline
+     the sched gate ships), the sequential search and a 4-domain pool
+     return the same plan and search statistics. *)
+  let inst = Fig_sched.smoke_scenario () in
+  let cap = Sched.capacity ~crews:Fig_sched.smoke_crews () in
+  let greedy = Sched.greedy ~cap inst (Instance.repair_all inst) in
+  List.iter
+    (fun (name, start) ->
+      let run pool = Sched.local_search ?pool ~cap inst start in
+      let plan1, stats1 = run None in
+      let plan4, stats4 = run (Some (Pool.create ~jobs:4)) in
+      Alcotest.(check bool) (name ^ ": same plan") true (plan1 = plan4);
+      Alcotest.(check bool) (name ^ ": same stats") true (stats1 = stats4))
+    [ ("worst first", worst_first_order ()); ("greedy", Sched.order_of greedy) ]
 
 let test_local_search_budget_trips () =
-  let inst = gate_instance () in
-  let cap = Sched.capacity ~crews:3 () in
+  let inst = Fig_sched.smoke_scenario () in
+  let cap = Sched.capacity ~crews:Fig_sched.smoke_crews () in
   let budget = Budget.create ~work_cap:1 () in
   let _, stats = Sched.local_search ~budget ~cap inst (worst_first_order ()) in
   Alcotest.(check bool) "reports limit" true (stats.Sched.limited <> None)
@@ -248,15 +220,24 @@ let test_local_search_budget_trips () =
 (* ---- certification ---- *)
 
 let test_certify_rounds_clean () =
-  let inst = gate_instance () in
-  let cap = Sched.capacity ~crews:3 () in
-  let plan = Sched.greedy ~cap inst (Instance.repair_all inst) in
-  let certs = Sched.certify_rounds inst plan in
-  Alcotest.(check int) "one per round" (List.length plan.Sched.rounds)
-    (List.length certs);
+  (* The greedy plan and the refined plan the sched gate ships (greedy +
+     local search) both certify at every round prefix. *)
+  let inst = Fig_sched.smoke_scenario () in
+  let cap = Sched.capacity ~crews:Fig_sched.smoke_crews () in
+  let greedy = Sched.greedy ~cap inst (Instance.repair_all inst) in
+  let refined, _ = Sched.local_search ~cap inst (Sched.order_of greedy) in
   List.iter
-    (fun c -> Alcotest.(check bool) "clean" true (Check.ok c))
-    certs
+    (fun (name, plan) ->
+      let certs = Sched.certify_rounds inst plan in
+      Alcotest.(check int) (name ^ ": one per round")
+        (List.length plan.Sched.rounds) (List.length certs);
+      List.iteri
+        (fun i c ->
+          if not (Check.ok c) then
+            Alcotest.failf "%s round %d prefix: %s" name (i + 1)
+              (Check.certificate_to_string c))
+        certs)
+    [ ("greedy", greedy); ("refined", refined) ]
 
 (* ---- QCheck properties ---- *)
 
@@ -382,8 +363,7 @@ let () =
           tc "respect budget" test_rounds_respect_budget;
           tc "concat equals flat" test_round_concat_equals_flat_order;
           tc "empty plan baseline" test_empty_plan_reports_baseline;
-          tc "rejects malformed" test_of_order_rejects_malformed;
-          tc "greedy matches staged" test_greedy_plan_matches_staged ] );
+          tc "rejects malformed" test_of_order_rejects_malformed ] );
       ( "oracle",
         [ tc "proves gate instance" test_oracle_proves_gate_instance;
           tc "milp auc consistent" test_oracle_milp_auc_consistent;

@@ -31,15 +31,24 @@ let test_sharded_certified () =
     Alcotest.failf "stitched solution failed recertification: %s"
       (Check.certificate_to_string cert)
 
+(* Everything in [Shard.stats] but wall-clock time: shard shape,
+   per-shard ISP work and the certificate. *)
+let untimed st =
+  let untimed_isp s = { s with Isp.wall_seconds = 0.0 } in
+  { st with
+    Shard.wall_seconds = 0.0;
+    shard_stats = List.map untimed_isp st.Shard.shard_stats }
+
 let test_pool_determinism () =
   let inst = Lazy.force smoke in
-  let solve jobs = fst (Shard.solve ~pool:(Pool.create ~jobs) inst) in
-  let s1 = solve 1 and s4 = solve 4 in
+  let solve jobs = Shard.solve ~pool:(Pool.create ~jobs) inst in
+  let s1, st1 = solve 1 and s4, st4 = solve 4 in
   Alcotest.(check (list int)) "repaired vertices" s1.Instance.repaired_vertices
     s4.Instance.repaired_vertices;
   Alcotest.(check (list int)) "repaired edges" s1.Instance.repaired_edges
     s4.Instance.repaired_edges;
-  Alcotest.(check bool) "whole solution byte-identical" true (s1 = s4)
+  Alcotest.(check bool) "whole solution byte-identical" true (s1 = s4);
+  Alcotest.(check bool) "same shard stats" true (untimed st1 = untimed st4)
 
 (* ---- delegation ---- *)
 
